@@ -1,7 +1,9 @@
 #!/usr/bin/env python
 """End-to-end smoke test of the live telemetry surface, as run by CI.
 
-Starts ``repro serve`` with ZERO in-process workers plus one ``repro
+First SIGTERMs a throwaway server and agent the moment each prints
+its ready line and requires exit 0 (signal handlers precede the line).
+Then starts ``repro serve`` with ZERO in-process workers plus one ``repro
 agent`` subprocess (the remote execution path), asserts ``GET /``
 serves the status dashboard, then follows a watched job over SSE while
 the agent runs it: the stream must open with a ``snapshot``, deliver
@@ -91,6 +93,22 @@ def stop(proc: subprocess.Popen, name: str) -> None:
     assert code == 0, f"{name} exited {code} after SIGTERM"
 
 
+def check_sigterm_right_after_ready(tmp: str) -> None:
+    """A SIGTERM sent the moment the ready line appears must still take
+    the graceful drain and exit 0: both processes install their signal
+    handlers before printing that line."""
+    env = smoke_env(os.path.join(tmp, "cache-sigterm"))
+    server, _ = start_server(os.path.join(tmp, "sigterm-1.db"), env)
+    stop(server, "server SIGTERMed right after its ready line")
+    server, url = start_server(os.path.join(tmp, "sigterm-2.db"), env)
+    try:
+        agent = start_agent(url, "dash-sigterm", env)
+        stop(agent, "agent SIGTERMed right after its ready line")
+    finally:
+        stop(server, "server")
+    print("[dash] SIGTERM right after the ready line drains and exits 0")
+
+
 def check_dashboard(url: str) -> None:
     with urllib.request.urlopen(url + "/", timeout=30) as resp:
         assert resp.status == 200, resp.status
@@ -154,6 +172,7 @@ def check_grid_metrics(client: "ServiceClient") -> None:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
+        check_sigterm_right_after_ready(tmp)
         server_env = smoke_env(os.path.join(tmp, "cache-server"))
         server, url = start_server(os.path.join(tmp, "service.db"), server_env)
         agent = None

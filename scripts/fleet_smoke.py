@@ -1,7 +1,9 @@
 #!/usr/bin/env python
 """End-to-end smoke test of the control-plane/agent split, as run by CI.
 
-Starts ``repro serve`` with ZERO in-process workers (the pure control
+First SIGTERMs a throwaway server and agent the moment each prints
+its ready line and requires exit 0 (signal handlers precede the line).
+Then starts ``repro serve`` with ZERO in-process workers (the pure control
 plane), launches two ``repro agent`` subprocesses registered as
 different sites (each with its own result cache, emulating separate
 hosts), submits a scenario campaign plus a plain job through the
@@ -96,8 +98,25 @@ def stop(proc: subprocess.Popen, name: str) -> None:
     assert code == 0, f"{name} exited {code} after SIGTERM"
 
 
+def check_sigterm_right_after_ready(tmp: str) -> None:
+    """A SIGTERM sent the moment the ready line appears must still take
+    the graceful drain and exit 0: both processes install their signal
+    handlers before printing that line."""
+    env = fleet_env(os.path.join(tmp, "cache-sigterm"))
+    server, _ = start_server(os.path.join(tmp, "sigterm-1.db"), env)
+    stop(server, "server SIGTERMed right after its ready line")
+    server, url = start_server(os.path.join(tmp, "sigterm-2.db"), env)
+    try:
+        agent = start_agent(url, "fleet-sigterm", env)
+        stop(agent, "agent SIGTERMed right after its ready line")
+    finally:
+        stop(server, "server")
+    print("[fleet] SIGTERM right after the ready line drains and exits 0")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
+        check_sigterm_right_after_ready(tmp)
         server_env = fleet_env(os.path.join(tmp, "cache-server"))
         server, url = start_server(os.path.join(tmp, "service.db"), server_env)
         agents = []

@@ -275,13 +275,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     service = ReproService(config)
     service.start()
-    print(
-        f"repro service listening on {service.url} "
-        f"(db {config.store_url or config.db_path}, "
-        f"{config.workers} workers)",
-        flush=True,
+    # The listening line is printed only once the SIGTERM/SIGINT
+    # handlers are installed, so a supervisor that signals as soon as
+    # it reads the line always gets the graceful drain.
+    service.serve_forever(
+        ready=lambda: print(
+            f"repro service listening on {service.url} "
+            f"(db {config.store_url or config.db_path}, "
+            f"{config.workers} workers)",
+            flush=True,
+        )
     )
-    service.serve_forever()
     print("repro service stopped (queue drained and persisted)", file=sys.stderr)
     return 0
 
@@ -320,12 +324,14 @@ def _cmd_agent(args: argparse.Namespace) -> int:
         telemetry=ForwardingTelemetry(forwarder, source.is_watched),
     )
     agent.start()
-    print(
-        f"repro agent {agent.identity} serving site {site} "
-        f"against {args.url} ({workers} workers)",
-        flush=True,
+    # Printed once the signal handlers are installed (see _cmd_serve).
+    agent.run_forever(
+        ready=lambda: print(
+            f"repro agent {agent.identity} serving site {site} "
+            f"against {args.url} ({workers} workers)",
+            flush=True,
+        )
     )
-    agent.run_forever()
     print(
         f"repro agent {agent.identity} stopped "
         "(leases released or completed)",

@@ -613,8 +613,7 @@ def run_datacenter(
         for sink in sinks:
             sink.attach(simulator.sim.bus)
     # Thread-locally activated live sinks (the telemetry feed of a
-    # watched service job); a no-op when nothing is activated, so
-    # unwatched trials keep the unobserved fast path.
+    # watched service job); a no-op when nothing is activated.
     live.attach_current(simulator.sim.bus)
     started = TrialStarted(
         time=0.0, scope="datacenter", trial=pattern.index

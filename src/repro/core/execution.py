@@ -372,6 +372,18 @@ class ResilientExecution:
         self.fast_iterations_skipped = 0
         #: The simulator's shared bus (external sinks subscribe here).
         self._bus = sim.bus
+        #: Event types a fast-path jump folds away without publishing
+        #: them on the shared bus: every activity span and checkpoint
+        #: commit inside the jump; a superseded semi-blocking commit,
+        #: which the jump voids silently; and, in greedy mode, the
+        #: checkpoint an interrupt cuts short inside a jump
+        #: (:meth:`_replay_to` and :meth:`_resume_after_abort` count it
+        #: without publishing).  The fast path is refused while a
+        #: shared-bus subscriber wants any of these.
+        folded = {ActivitySpan, CheckpointTaken}
+        if greedy or any(lvl.blocking_fraction < 1.0 for lvl in plan.levels):
+            folded.add(CheckpointFailed)
+        self.folded_events = frozenset(folded)
         #: Engine-local bus: this execution's own stats and timeline
         #: subscribe here, so two engines that happen to share an
         #: ``app_id`` on one simulator never cross-feed each other.
@@ -508,21 +520,24 @@ class ResilientExecution:
     def _fast_path_usable(self) -> bool:
         """Whether the next stretch may be advanced in closed form.
 
-        The fast path skips the per-boundary kernel events, so it is
-        only taken when nothing can tell the difference: shared-pool
-        contention without a gate makes slot waits possible inside the
-        stretch; a timeline recorder or any shared-bus observer (sinks,
-        kernel taps) expects the full per-boundary event stream, so
-        observed runs auto-fall back to the stepped path.  The
-        horizon-bounded mode additionally needs a horizon provider;
-        greedy mode needs none (interrupts abort the jump wherever
-        they land).
+        The fast path skips the per-boundary kernel events and the
+        :attr:`folded_events`, so it is only taken when nothing can
+        tell the difference: shared-pool contention without a gate
+        makes slot waits possible inside the stretch; a timeline
+        recorder, a kernel tap, a catch-all sink, or any shared-bus
+        subscriber to a folded event type expects the full
+        per-boundary event stream, so those runs auto-fall back to the
+        stepped path.  A subscriber that wants only events the jump
+        still publishes (failures, restarts, recoveries) leaves the
+        fast path on.  The horizon-bounded mode additionally needs a
+        horizon provider; greedy mode needs none (interrupts abort the
+        jump wherever they land).
         """
         if (
             not FAST_PATH_ENABLED
             or self._contended
             or self._record_timeline
-            or self._bus.observed
+            or self._bus.wants_any(self.folded_events)
         ):
             return False
         return self._greedy or self._failure_horizon is not None
@@ -840,7 +855,8 @@ class ResilientExecution:
         """The fast path's stand-in for one ActivitySpan round trip:
         same zero-length guard and accumulation float op as
         :meth:`_note` + :meth:`ExecutionStats._on_span`, without the
-        event object (valid because nothing observes the bus)."""
+        event object (valid because no shared-bus subscriber wants
+        :class:`ActivitySpan` while the fast path runs)."""
         if end > start:
             stats = self.stats
             setattr(stats, field_name, getattr(stats, field_name) + (end - start))

@@ -3,20 +3,20 @@
 The telemetry subsystem (:mod:`repro.telemetry`) needs the domain
 events of a *running* job — failure injections, checkpoints, restarts
 — while the simulation is still in flight.  Those events exist only on
-each simulation's own :class:`repro.obs.bus.EventBus`, and attaching
-any handler to a bus flips its ``observed`` flag, which makes the
-execution engine fall back from the failure-horizon fast path to the
-stepped path (byte-identical, just slower).  Blanket instrumentation
-would therefore tax every simulation in the process.
+each simulation's own :class:`repro.obs.bus.EventBus`.  Only the job a
+consumer watches should pay for serialising and shipping them, and a
+sink that wanted an event the failure-horizon fast path folds away
+would also turn that path off (:meth:`repro.obs.bus.EventBus
+.wants_any`); the telemetry sinks skip exactly those chatty events, so
+a watched blocking single-app trial keeps the fast path.
 
-This module threads the needle: a worker activates live sinks *for the
+This module scopes the sinks: a worker activates live sinks *for the
 current thread only* around one job's execution, and the simulation
 entry points (:func:`repro.core.single_app.simulate_application`,
 :func:`repro.core.datacenter.run_datacenter`) attach whatever
 :func:`current_sinks` returns to each new simulation bus.  When
 nothing is activated — the overwhelmingly common case — the lookup is
-one thread-local attribute read and the bus stays unobserved, so
-unwatched trials keep the fast path.
+one thread-local attribute read and the bus wants no event at all.
 
 Activation is thread-local by design: the service's executor threads
 run one job each, so activating around :meth:`repro.service.jobs
@@ -56,8 +56,8 @@ def attach_current(bus) -> None:
     """Attach the calling thread's activated sinks (if any) to *bus*.
 
     Called by the simulation entry points on each fresh bus; a no-op
-    (one thread-local read) when nothing is activated, so it never
-    flips ``bus.observed`` for unwatched simulations.
+    (one thread-local read) when nothing is activated, so unwatched
+    simulations' buses want no event at all.
     """
     sinks = current_sinks()
     if sinks:

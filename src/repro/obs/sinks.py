@@ -36,7 +36,7 @@ import json
 from typing import Any, Dict, Hashable, List, Optional, TextIO, Tuple
 
 from repro.obs.bus import EventBus
-from repro.obs.events import ActivitySpan, DomainEvent
+from repro.obs.events import ALL_EVENT_TYPES, ActivitySpan, DomainEvent
 from repro.sim.events import EventKind
 from repro.sim.tracing import TraceRecorder
 
@@ -219,7 +219,7 @@ def event_record(event: DomainEvent) -> Dict[str, Any]:
 
 
 class LiveEventSink(Sink):
-    """Feeds every domain event of a running simulation to a callable.
+    """Feeds the domain events of a running simulation to a callable.
 
     The telemetry layer activates one of these around a watched job's
     execution (:mod:`repro.obs.live`): *emit* receives ``(kind,
@@ -229,11 +229,15 @@ class LiveEventSink(Sink):
     and the agent-side forwarder's bounded ``offer`` both satisfy that
     — because it runs inline on the simulation thread.
 
-    *skip* names event classes to drop before serialisation.  The
+    *skip* names event classes the sink does not subscribe to.  The
     telemetry layer uses it to keep per-segment ``ActivitySpan`` and
     per-interval ``CheckpointTaken`` chatter (tens of thousands of
     events per trial) out of the live feed while still shipping every
-    lifecycle, failure, restart, and recovery event.
+    lifecycle, failure, restart, and recovery event.  Because the sink
+    subscribes per type, a bus it is attached to does not want the
+    skipped types, so an execution engine whose fast-path jumps fold
+    away nothing else keeps that path (see
+    :meth:`repro.obs.bus.EventBus.wants_any`).
     """
 
     def __init__(self, emit: Any, skip: Tuple[str, ...] = ()) -> None:
@@ -241,14 +245,13 @@ class LiveEventSink(Sink):
         self.skip = frozenset(skip)
 
     def attach(self, bus: EventBus) -> None:
-        """Forward every event published on *bus* to ``emit``."""
-        bus.subscribe_all(self._on_event)
+        """Forward every event type not named in ``skip`` to ``emit``."""
+        for event_type in ALL_EVENT_TYPES:
+            if event_type.__name__ not in self.skip:
+                bus.subscribe(event_type, self._on_event)
 
     def _on_event(self, event: DomainEvent) -> None:
-        name = type(event).__name__
-        if name in self.skip:
-            return
-        self.emit(f"sim.{name}", event_record(event))
+        self.emit(f"sim.{type(event).__name__}", event_record(event))
 
 
 class JsonlExportSink(Sink):

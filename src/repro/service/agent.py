@@ -432,13 +432,20 @@ class WorkerAgent:
             self.telemetry.flush()
         self._threads = []
 
-    def run_forever(self, install_signal_handlers: bool = True) -> None:
+    def run_forever(
+        self,
+        install_signal_handlers: bool = True,
+        ready: Optional[Callable[[], None]] = None,
+    ) -> None:
         """Start (if needed) and block until SIGTERM/SIGINT or until a
         server-requested drain completes.
 
         The signal handlers trigger :meth:`shutdown` — running jobs
         drain, claimed-but-unstarted jobs go back to the queue — so a
-        ``kill -TERM`` never loses an accepted job.
+        ``kill -TERM`` never loses an accepted job.  *ready* is called
+        once the handlers are in place (the CLI prints its serving
+        line there), so a SIGTERM sent as soon as it returns still
+        drains.
         """
         if not self._threads:
             self.start()
@@ -450,6 +457,8 @@ class WorkerAgent:
 
             signal.signal(signal.SIGTERM, _handle)
             signal.signal(signal.SIGINT, _handle)
+        if ready is not None:
+            ready()
         try:
             while not stop.wait(0.2):
                 if self.draining and self.idle():
@@ -554,8 +563,7 @@ class WorkerAgent:
             cache_dir = self.cache.directory if self.cache is not None else None
             # Watched jobs get a live simulation-event sink activated
             # thread-locally around execute(); job_sink returns None
-            # for unwatched jobs (and activated() filters the None),
-            # so their trials keep the unobserved fast path.
+            # for unwatched jobs (and activated() filters the None).
             sink = (
                 self.telemetry.job_sink(record.id)
                 if self.telemetry is not None
@@ -563,9 +571,16 @@ class WorkerAgent:
             )
             before = obs_counters.snapshot()
             with live.activated(sink):
-                outcome = spec.execute(
-                    metrics=self.metrics, cache_dir=cache_dir
-                )
+                try:
+                    outcome = spec.execute(
+                        metrics=self.metrics, cache_dir=cache_dir
+                    )
+                finally:
+                    if sink is not None:
+                        # Ship the job's buffered live events before
+                        # its completion push: an SSE stream ends at
+                        # job.done, so later arrivals would be lost.
+                        self.telemetry.flush()
             # Grid cost/carbon accounting increments locally during
             # execute(); a remote control plane only learns about them
             # through the completion push.

@@ -24,7 +24,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.campaigns.controller import (
     AdaptiveConfig,
@@ -182,13 +182,19 @@ class ReproService:
         self.pool.shutdown(timeout=timeout)
         self.store.close()
 
-    def serve_forever(self, install_signal_handlers: bool = True) -> None:
+    def serve_forever(
+        self,
+        install_signal_handlers: bool = True,
+        ready: Optional[Callable[[], None]] = None,
+    ) -> None:
         """Start (if needed) and block until SIGTERM/SIGINT.
 
         The signal handlers run :meth:`shutdown` — running cells are
         drained, claimed-but-unstarted jobs go back to the queue, and
         the queue itself is durable in SQLite, so a ``kill -TERM``
-        never loses an accepted job.
+        never loses an accepted job.  *ready* is called once the
+        handlers are in place (the CLI prints its listening line
+        there), so a SIGTERM sent as soon as it returns still drains.
         """
         if self._server is None:
             self.start()
@@ -200,6 +206,8 @@ class ReproService:
 
             signal.signal(signal.SIGTERM, _handle)
             signal.signal(signal.SIGINT, _handle)
+        if ready is not None:
+            ready()
         try:
             while not stop.wait(0.2):
                 pass
@@ -597,7 +605,7 @@ class ReproService:
             "jobs": [record.to_payload() for record in batch],
             # The subset of this batch that SSE consumers are watching:
             # the agent forwards live simulation events for exactly
-            # these (everything else keeps the unobserved fast path).
+            # these (everything else attaches no live sink).
             "watched": [
                 record.id
                 for record in batch

@@ -19,9 +19,10 @@ literature):
   status page served at ``GET /``.
 
 Streaming never perturbs results: live simulation-event sinks attach
-only to *watched* jobs' trials (via :mod:`repro.obs.live`), so every
-other simulation keeps its unobserved failure-horizon fast path, and
-sinks are passive observers, so watched runs stay byte-identical too.
+only to *watched* jobs' trials (via :mod:`repro.obs.live`), they skip
+the events the failure-horizon fast path folds away (so watched
+blocking single-app trials keep that path), and sinks are passive
+observers, so watched runs stay byte-identical too.
 See ``docs/OBSERVABILITY.md`` (streaming section) and
 ``docs/SERVICE.md`` (API table).
 """

@@ -7,7 +7,9 @@ of that path: a bounded in-memory buffer whose :meth:`offer` never
 blocks the executing simulation (at capacity the oldest entry is
 dropped and counted), flushed in batches over ``POST
 /v1/sites/{name}/events`` from the agent's housekeeping threads
-(puller tick, heartbeat, shutdown).
+(puller tick, heartbeat, shutdown) and by the executor right before
+it pushes a job's completion, so a job's events reach the stream
+before its ``job.done``.
 
 Delivery is best-effort by design: telemetry must never be able to
 stall or fail a job.  An unreachable control plane drops the batch
@@ -43,6 +45,10 @@ class EventForwarder:
         self.site = site
         self.capacity = capacity
         self._lock = threading.Lock()
+        #: Held across a whole flush, so batches popped by different
+        #: threads post in buffer order and a flush returns only once
+        #: every event buffered before it has landed (or been dropped).
+        self._flush_lock = threading.Lock()
         self._buffer: deque = deque()
         self._dropped = 0
         self._forwarded = 0
@@ -73,22 +79,23 @@ class EventForwarder:
         bound against a dead control plane.
         """
         sent = 0
-        while True:
-            with self._lock:
-                if not self._buffer:
-                    return sent
-                batch: List[Dict[str, Any]] = [
-                    self._buffer.popleft()
-                    for _ in range(min(MAX_BATCH, len(self._buffer)))
-                ]
-            try:
-                self.client.post_site_events(self.site, batch)
-            except Exception:
+        with self._flush_lock:
+            while True:
                 with self._lock:
-                    self._dropped += len(batch)
-                return sent
-            sent += len(batch)
-            self._forwarded += len(batch)
+                    if not self._buffer:
+                        return sent
+                    batch: List[Dict[str, Any]] = [
+                        self._buffer.popleft()
+                        for _ in range(min(MAX_BATCH, len(self._buffer)))
+                    ]
+                try:
+                    self.client.post_site_events(self.site, batch)
+                except Exception:
+                    with self._lock:
+                        self._dropped += len(batch)
+                    return sent
+                sent += len(batch)
+                self._forwarded += len(batch)
 
     def close(self) -> None:
         """Final flush (agent shutdown)."""

@@ -11,8 +11,11 @@ through on its way to SSE consumers:
   (:meth:`ingest`), tagged with the originating site;
 - the in-process worker pool asks :meth:`job_sink` for a live
   simulation-event sink around each job it runs — non-None only for
-  *watched* jobs, so unwatched trials never observe their bus and
-  keep the failure-horizon fast path;
+  *watched* jobs, so unwatched trials attach nothing.  The sink skips
+  the events the failure-horizon fast path folds away
+  (:data:`SKIP_SIM_EVENTS`), so watched blocking single-app trials
+  keep that path too; semi-blocking and datacenter runs step while
+  watched, because their jumps would also fold ``CheckpointFailed``;
 - the adaptive campaign controller reports progress through
   :meth:`campaign_notify`.
 
@@ -38,7 +41,9 @@ TERMINAL_KINDS = ("job.done", "job.failed", "job.cancelled")
 #: Simulation event classes too chatty for a live feed (one
 #: ``ActivitySpan`` per compute segment, one ``CheckpointTaken`` per
 #: checkpoint interval — tens of thousands per trial between them);
-#: both the hub's and the forwarder's job sinks drop them.  Rare,
+#: both the hub's and the forwarder's job sinks do not subscribe to
+#: them.  They are also the events a blocking single-app fast-path
+#: jump folds away, so a watched trial keeps the fast path.  Rare,
 #: decision-relevant events (``FailureInjected``, ``CheckpointFailed``,
 #: restarts, recoveries) still stream; ``--trace-out`` keeps the
 #: exhaustive record.
@@ -119,9 +124,9 @@ class TelemetryHub:
 
     def job_sink(self, job_id: str) -> Optional[LiveEventSink]:
         """A live simulation-event sink for *job_id*, or None when the
-        job is unwatched (so its trials keep the unobserved fast
-        path).  The in-process pool activates the sink thread-locally
-        around :meth:`repro.service.jobs.JobSpec.execute`."""
+        job is unwatched (so its trials attach nothing).  The
+        in-process pool activates the sink thread-locally around
+        :meth:`repro.service.jobs.JobSpec.execute`."""
         if not self.is_watched(job_id):
             return None
 

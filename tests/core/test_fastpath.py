@@ -20,7 +20,12 @@ from repro.core.single_app import (
     simulate_application,
 )
 from repro.failures.generator import AppFailureGenerator, Failure
-from repro.obs.sinks import MetricsSink
+from repro.obs.sinks import (
+    JsonlExportSink,
+    MetricsSink,
+    TimelineSink,
+    TraceSink,
+)
 from repro.platform.presets import exascale_system
 from repro.resilience import get_technique, scaling_study_techniques
 from repro.resilience.base import CheckpointLevel, ExecutionPlan
@@ -290,11 +295,34 @@ class TestFallbacks:
     def test_bus_observer_forces_stepped(self, monkeypatch):
         technique = get_technique("multilevel")
         sink = MetricsSink()
-        _, engine = _wired_run(technique, True, monkeypatch, sinks=[sink])
+        sim, engine = _wired_run(technique, True, monkeypatch, sinks=[sink])
+        assert sim.bus.wants_any(engine.folded_events)
         assert engine.fast_jumps == 0
         # And the observed run still matches the unobserved one.
         _, plain = _wired_run(technique, True, monkeypatch)
         _assert_same_stats(engine.stats, plain.stats)
+
+    @pytest.mark.parametrize(
+        "make_sink", [TraceSink, JsonlExportSink, TimelineSink]
+    )
+    def test_exhaustive_sinks_force_stepped(self, make_sink, monkeypatch):
+        # Sinks that record every event (or every span) want what the
+        # fast path folds away, so --trace-out stays exhaustive: the
+        # run steps and records exactly the stepped stream.  (The
+        # MetricsSink case is test_bus_observer_forces_stepped.)
+        technique = get_technique("multilevel")
+        fast_sink, slow_sink = make_sink(), make_sink()
+        _, fast = _wired_run(technique, True, monkeypatch, sinks=[fast_sink])
+        _, slow = _wired_run(technique, False, monkeypatch, sinks=[slow_sink])
+        assert fast.fast_jumps == 0
+        _assert_same_stats(fast.stats, slow.stats)
+        recorded = {
+            TraceSink: lambda sink: [str(entry) for entry in sink],
+            JsonlExportSink: lambda sink: sink.lines,
+            TimelineSink: lambda sink: sink.spans,
+        }[make_sink]
+        assert recorded(fast_sink) == recorded(slow_sink)
+        assert recorded(fast_sink)
 
     def test_record_timeline_forces_stepped(self, monkeypatch):
         technique = get_technique("multilevel")

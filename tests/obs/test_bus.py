@@ -80,6 +80,41 @@ class TestActivation:
         assert bus.has_subscribers
 
 
+class TestInterest:
+    """``wants_any``: the typed interest query the fast path asks."""
+
+    QUERY = frozenset({CheckpointTaken, TrialStarted})
+
+    def test_empty_bus_wants_nothing(self):
+        assert not EventBus().wants_any(self.QUERY)
+
+    def test_typed_subscriber_wants_only_its_type(self):
+        bus = EventBus()
+        bus.subscribe(FailureInjected, lambda e: None)
+        assert not bus.wants_any(self.QUERY)
+        assert bus.wants_any({FailureInjected})
+        bus.subscribe(CheckpointTaken, lambda e: None)
+        assert bus.wants_any(self.QUERY)
+
+    def test_keyed_subscriber_counts_for_its_type(self):
+        bus = EventBus()
+        bus.subscribe_key(CheckpointTaken, 7, lambda e: None)
+        assert bus.wants_any(self.QUERY)
+        assert not bus.wants_any({FailureInjected})
+
+    def test_catch_all_subscriber_wants_everything(self):
+        bus = EventBus()
+        bus.subscribe_all(lambda e: None)
+        assert bus.wants_any(self.QUERY)
+        assert bus.wants_any({FailureInjected})
+
+    def test_kernel_tap_wants_everything(self):
+        bus = EventBus()
+        bus.add_kernel_tap(lambda t, k, p: None)
+        assert bus.wants_any(self.QUERY)
+        assert bus.wants_any({FailureInjected})
+
+
 class TestKernelTaps:
     def test_simulator_forwards_executed_events(self):
         from repro.sim.engine import Simulator

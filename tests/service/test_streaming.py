@@ -15,8 +15,10 @@ import urllib.request
 
 import pytest
 
+from repro.service.agent import RemoteJobSource, WorkerAgent
 from repro.service.app import ReproService, ServiceConfig
 from repro.service.client import ServiceClient, ServiceError
+from repro.telemetry import EventForwarder, ForwardingTelemetry
 
 FIG1 = {"experiment": "fig1", "quick": True, "trials": 2, "cache": False}
 
@@ -347,6 +349,44 @@ class TestRemoteAgentPath:
         ]
         assert injected[0]["data"]["site"] == "site-a"
         assert frames[-1]["event"] == "end"
+
+
+    def test_agent_ships_live_events_before_job_done(
+        self, paused_service, paused_client
+    ):
+        """A real agent engine with the forwarding telemetry: every
+        forwarded simulation event of a watched job lands in the ring
+        before the job's ``job.done``, where an SSE stream stops.  The
+        housekeeping ticks are slowed far past the job's run time, so
+        only the executor's flush before its completion push can ship
+        them in time."""
+        source = RemoteJobSource(paused_client, "site-order")
+        agent = WorkerAgent(
+            source,
+            workers=1,
+            lease_s=300.0,
+            poll_interval_s=2.0,
+            telemetry=ForwardingTelemetry(
+                EventForwarder(paused_client, "site-order"),
+                source.is_watched,
+            ),
+        )
+        job_id = paused_client.submit(dict(FIG1, trials=1))["id"]
+        paused_service.hub.watch(job_id)
+        agent.start()
+        try:
+            final = paused_client.wait(job_id, timeout=120, poll_s=0.05)
+        finally:
+            agent.shutdown(timeout=30)
+            paused_service.hub.unwatch(job_id)
+        assert final["state"] == "done"
+        events, _ = paused_service.hub.ring.read_since(0)
+        kinds = [e.kind for e in events if e.job_id == job_id]
+        done = kinds.index("job.done")
+        sim = [i for i, kind in enumerate(kinds) if kind.startswith("sim.")]
+        assert sim, kinds
+        assert "sim.TrialFinished" in kinds[:done]
+        assert max(sim) < done, kinds
 
 
 class TestWatchCommand:

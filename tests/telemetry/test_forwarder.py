@@ -76,6 +76,39 @@ class TestFlush:
         assert fwd.flush() == 1
         assert [e["kind"] for _, b in client.posts for e in b] == ["kept"]
 
+    def test_concurrent_flushes_post_in_buffer_order(self):
+        # A flush returns only once everything buffered before it has
+        # landed, even when another thread's flush holds the earlier
+        # batch in flight: the agent relies on this to ship a job's
+        # events before pushing its completion.
+        import threading
+
+        entered, release = threading.Event(), threading.Event()
+
+        class SlowFirstPost(FakeClient):
+            def post_site_events(self, site, events):
+                if not self.posts and not entered.is_set():
+                    entered.set()
+                    release.wait(timeout=30)
+                return super().post_site_events(site, events)
+
+        fwd = EventForwarder(SlowFirstPost(), "site-a")
+        fwd.offer("first")
+        housekeeping = threading.Thread(target=fwd.flush)
+        housekeeping.start()
+        assert entered.wait(timeout=30)
+        fwd.offer("second")
+        executor = threading.Thread(target=fwd.flush)
+        executor.start()
+        executor.join(timeout=0.2)
+        assert executor.is_alive()  # waits for the batch in flight
+        release.set()
+        housekeeping.join(timeout=30)
+        executor.join(timeout=30)
+        assert not housekeeping.is_alive() and not executor.is_alive()
+        kinds = [e["kind"] for _, batch in fwd.client.posts for e in batch]
+        assert kinds == ["first", "second"]
+
     def test_close_is_a_final_flush(self):
         fwd = EventForwarder(FakeClient(), "site-a")
         fwd.offer("k")

@@ -1,5 +1,14 @@
 """TelemetryHub: watch refcounting, sinks, ingest, stats."""
 
+from repro.obs import live
+from repro.obs.bus import EventBus
+from repro.obs.events import (
+    ALL_EVENT_TYPES,
+    ActivitySpan,
+    CheckpointFailed,
+    CheckpointTaken,
+    FailureInjected,
+)
 from repro.telemetry import SKIP_SIM_EVENTS, TelemetryHub
 
 
@@ -42,10 +51,24 @@ class TestWatches:
 
 class TestJobSink:
     def test_none_for_unwatched_jobs(self):
-        # The fast-path guarantee: an unwatched job gets no sink, so
-        # its simulation buses stay unobserved.
+        # An unwatched job gets no sink, so its simulation buses want
+        # no event type and every trial keeps the fast path.
         hub = TelemetryHub()
         assert hub.job_sink("j1") is None
+        bus = EventBus()
+        live.attach_current(bus)
+        assert not bus.wants_any(ALL_EVENT_TYPES)
+
+    def test_watched_sink_wants_only_unfolded_events(self):
+        # A watched job's sink subscribes per type, skipping exactly
+        # what the fast path folds away in a blocking single-app run.
+        hub = TelemetryHub()
+        hub.watch("j1")
+        bus = EventBus()
+        hub.job_sink("j1").attach(bus)
+        assert not bus.wants_any({ActivitySpan, CheckpointTaken})
+        assert bus.wants_any({FailureInjected})
+        assert bus.wants_any({CheckpointFailed})
 
     def test_watched_sink_publishes_into_the_ring(self):
         hub = TelemetryHub()

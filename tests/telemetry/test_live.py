@@ -1,9 +1,11 @@
 """Thread-local live activation: streaming without losing the fast path.
 
 The load-bearing property of the telemetry design: only *watched*
-jobs' simulations attach a live sink (and pay the observed-bus stepped
-path); everything else keeps ``bus.observed == False`` and the
-failure-horizon fast path.  Results stay bit-identical either way.
+jobs' simulations attach a live sink; everything else keeps a bus that
+wants no event type at all.  A watched job's sink wants only the rare
+events the failure-horizon fast path still publishes, so watched
+blocking single-app trials keep the fast path too.  Results and the
+live feed stay bit-identical either way.
 """
 
 import threading
@@ -11,6 +13,7 @@ import threading
 from repro.core.single_app import SingleAppConfig, simulate_application
 from repro.obs import live
 from repro.obs.bus import EventBus
+from repro.obs.events import ALL_EVENT_TYPES
 from repro.obs.sinks import LiveEventSink
 from repro.resilience.registry import get_technique
 from repro.units import HOUR
@@ -45,7 +48,7 @@ class TestActivation:
         assert live.current_sinks() == ()
         bus = EventBus()
         live.attach_current(bus)
-        assert not bus.observed
+        assert not bus.wants_any(ALL_EVENT_TYPES)
 
     def test_activation_is_scoped_to_the_context(self):
         sink = LiveEventSink(lambda kind, record: None)
@@ -55,12 +58,12 @@ class TestActivation:
 
     def test_none_entries_are_filtered(self):
         # The worker pool passes hub.job_sink(...) straight in; None
-        # (unwatched) must leave the thread unobserved.
+        # (unwatched) must leave the thread's buses wanting nothing.
         with live.activated(None):
             assert live.current_sinks() == ()
             bus = EventBus()
             live.attach_current(bus)
-            assert not bus.observed
+            assert not bus.wants_any(ALL_EVENT_TYPES)
 
     def test_nested_activation_stacks_and_restores(self):
         a = LiveEventSink(lambda k, r: None)
@@ -106,8 +109,8 @@ class TestSimulationIntegration:
     def test_streaming_does_not_change_results(self):
         baseline = run_trial()
         with live.activated(LiveEventSink(lambda k, r: None)):
-            observed = run_trial()
-        assert stats_tuple(baseline) == stats_tuple(observed)
+            watched = run_trial()
+        assert stats_tuple(baseline) == stats_tuple(watched)
 
     def test_unwatched_run_after_watched_keeps_fast_path(self):
         with live.activated(LiveEventSink(lambda k, r: None)):
@@ -115,4 +118,4 @@ class TestSimulationIntegration:
         assert live.current_sinks() == ()
         bus = EventBus()
         live.attach_current(bus)
-        assert not bus.observed
+        assert not bus.wants_any(ALL_EVENT_TYPES)
